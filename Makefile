@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate fmt lint validate-descriptions
+.PHONY: build test check vet race bench bench-smoke bench-gate fuzz-smoke fmt lint validate-descriptions
 
 build:
 	$(GO) build ./...
@@ -66,3 +66,10 @@ bench-gate:
 # that none of them panic or fail. Wired into CI.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# fuzz-smoke fuzzes the level-3 file parser (reldb.Load) for ten seconds:
+# Load must never panic, and must accept only what Save writes. A failing
+# input lands in internal/store/reldb/testdata/fuzz/ and then replays as a
+# plain test case under `go test`. Wired into CI.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/store/reldb/

@@ -94,6 +94,11 @@ func ExtractRun(events []eventlog.Event, smNodes, suNodes []string) RunMetric {
 // FromReport extracts metrics for every completed run of a master report,
 // resolving SM and SU node sets from the description's actor roles.
 // smActor/suActor default to "actor0"/"actor1".
+//
+// A run's events are those stamped with its run id, in whichever Report
+// entry they landed: events can reach the master after their run ended
+// (an aborted run's late discovery, a pushed tail), and they then sit in
+// the next run's entry, which they must not complete.
 func FromReport(e *desc.Experiment, rep *master.Report, smActor, suActor string) []RunMetric {
 	if smActor == "" {
 		smActor = "actor0"
@@ -101,13 +106,19 @@ func FromReport(e *desc.Experiment, rep *master.Report, smActor, suActor string)
 	if suActor == "" {
 		suActor = "actor1"
 	}
+	byRun := map[int][]eventlog.Event{}
+	for _, rr := range rep.Results {
+		for _, ev := range rr.Events {
+			byRun[ev.Run] = append(byRun[ev.Run], ev)
+		}
+	}
 	var out []RunMetric
 	for _, rr := range rep.Results {
 		if rr.Skipped || rr.Err != nil || rr.Aborted {
 			continue
 		}
 		roles := desc.RolesFor(e, rr.Run)
-		m := ExtractRun(rr.Events, roles[smActor], roles[suActor])
+		m := ExtractRun(byRun[rr.Run.ID], roles[smActor], roles[suActor])
 		m.RunID = rr.Run.ID
 		m.Treatment = treatmentStrings(rr.Run)
 		out = append(out, m)

@@ -214,6 +214,44 @@ func TestFromReportAndFromDBAgree(t *testing.T) {
 	}
 }
 
+func TestFromReportTakesEventsByRunID(t *testing.T) {
+	e := desc.OneShot(30)
+	e.Repl.Count = 2
+	plan, err := desc.GeneratePlan(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := plan.Runs[0], plan.Runs[1]
+	stamp := func(run int, ev eventlog.Event) eventlog.Event { ev.Run = run; return ev }
+	found := map[string]string{"node": "A"}
+	rep := &master.Report{Plan: plan, Results: []master.RunResult{
+		{Run: r0, Aborted: true, Events: []eventlog.Event{
+			stamp(r0.ID, ev("B", sd.EvStartSearch, 0, nil)),
+		}},
+		// Run 0's discovery completes only after its abort, so its
+		// sd_service_add reaches the Report in run 1's entry, after run
+		// 1's own search started; run 1 itself finds nothing.
+		{Run: r1, Events: []eventlog.Event{
+			stamp(r1.ID, ev("B", sd.EvStartSearch, 2*time.Second, nil)),
+			stamp(r0.ID, ev("B", sd.EvServiceAdd, 2100*time.Millisecond, found)),
+		}},
+	}}
+	ms := FromReport(e, rep, "", "")
+	if len(ms) != 1 || ms[0].RunID != r1.ID {
+		t.Fatalf("metrics = %+v, want run %d only", ms, r1.ID)
+	}
+	if ms[0].Complete || ms[0].Found != 0 {
+		t.Fatalf("run %d credited with the aborted run's late discovery: %+v", r1.ID, ms[0])
+	}
+
+	// A run's own late events still count when they sit in a later entry.
+	rep.Results[0].Aborted = false
+	ms = FromReport(e, rep, "", "")
+	if len(ms) != 2 || !ms[0].Complete || ms[0].TR != 2100*time.Millisecond {
+		t.Fatalf("run %d with its late add elsewhere: %+v", r0.ID, ms)
+	}
+}
+
 func TestDurationsToSeconds(t *testing.T) {
 	out := DurationsToSeconds([]time.Duration{time.Second, 500 * time.Millisecond})
 	if out[0] != 1 || out[1] != 0.5 {

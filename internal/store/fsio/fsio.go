@@ -8,21 +8,24 @@
 package fsio
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFileAtomic writes data to a sibling temp file, fsyncs it, renames
-// it over path and fsyncs the containing directory: after it returns, a
-// crash leaves either the previous file or the new one — never a torn or
-// unnamed write. The containing directory must exist.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteAtomic streams a file into place: write fills a sibling temp file,
+// which is then fsynced, renamed over path, and the containing directory
+// fsynced. After it returns nil, a crash leaves either the previous file or
+// the new one — never a torn or unnamed write. When write (or any later
+// step) fails, the temp file is removed and path is untouched. write must
+// not retain its writer. The containing directory must exist.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -41,6 +44,14 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// WriteFileAtomic is WriteAtomic for data already in memory.
+func WriteFileAtomic(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // SyncDir fsyncs a directory so a preceding rename/create in it is

@@ -159,9 +159,11 @@ type packetMeta struct {
 
 // ForEachPacketLine streams a node's packet captures of one run, yielding
 // each record's capture time, source node, and the raw stored line. The
-// line is a view into a shared buffer, valid only during the call. The
-// decoder and the line scan advance in lockstep, which holds because
-// appendJSONL writes exactly one JSON value per line.
+// line is a capacity-clipped view into the file buffer, which is read
+// once and never reused: fn may retain it (conditioning stores it as the
+// Packets.Data blob) but must not modify it. The decoder and the line
+// scan advance in lockstep, which holds because appendJSONL writes exactly
+// one JSON value per line.
 func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time, src string, line []byte) error) error {
 	path := filepath.Join(rs.runDir(run, node), "packets.jsonl")
 	data, err := os.ReadFile(path)
@@ -189,7 +191,7 @@ func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time,
 		if err := dec.Decode(&m); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		if err := fn(m.Time, m.Src, line); err != nil {
+		if err := fn(m.Time, m.Src, line[:len(line):len(line)]); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}

@@ -86,22 +86,39 @@ func NewExperimentDB() (*ExperimentDB, error) {
 			return nil, err
 		}
 	}
-	for _, idx := range [][2]string{
-		{"Events", "RunID"}, {"Packets", "RunID"},
-		{"RunInfos", "RunID"}, {"ExtraRunMeasurements", "RunID"},
-	} {
-		if err := db.CreateIndex(idx[0], idx[1]); err != nil {
-			return nil, err
-		}
+	if err := createRunIndexes(db); err != nil {
+		return nil, err
 	}
 	return &ExperimentDB{DB: db}, nil
 }
 
-// OpenExperimentDB loads a level-3 database file.
+// runIndexes are the per-run lookup indexes of a level-3 database. They
+// are not part of the file (persisting them would change its bytes), so
+// both a new and a reopened database build them from this one list.
+var runIndexes = [...][2]string{
+	{"Events", "RunID"}, {"Packets", "RunID"},
+	{"RunInfos", "RunID"}, {"ExtraRunMeasurements", "RunID"},
+}
+
+func createRunIndexes(db *reldb.DB) error {
+	for _, idx := range runIndexes {
+		if err := db.CreateIndex(idx[0], idx[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// OpenExperimentDB loads a level-3 database file and rebuilds its run
+// indexes. Blob values (Packets.Data, measurement contents) alias the
+// file buffer; callers must not modify them.
 func OpenExperimentDB(path string) (*ExperimentDB, error) {
 	db, err := reldb.OpenFile(path)
 	if err != nil {
 		return nil, err
+	}
+	if err := createRunIndexes(db); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return &ExperimentDB{DB: db}, nil
 }
@@ -133,6 +150,17 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Node names repeat on every row, and storing a string in a Row boxes
+	// it (one allocation); box each distinct name once and share it.
+	boxed := map[string]any{}
+	name := func(s string) any {
+		v, ok := boxed[s]
+		if !ok {
+			v = s
+			boxed[s] = v
+		}
+		return v
+	}
 	logsByNode := map[string]string{}
 	for _, run := range runs {
 		info, err := rs.ReadRunInfo(run)
@@ -162,7 +190,7 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 		for _, node := range nodes {
 			err := rs.ForEachEvent(run, node, func(ev *eventlog.Event) error {
 				return e.DB.Insert("Events", reldb.Row{
-					int64(run), ev.Node, correct(ev.Node, ev.Time),
+					int64(run), name(ev.Node), correct(ev.Node, ev.Time),
 					ev.Type, encodeParams(ev.Params),
 				})
 			})
@@ -173,10 +201,11 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 			// record (both sides are encoding/json output of PacketRecord;
 			// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
 			// the Data column directly and the payload is never re-encoded.
+			// The line is a view into the file buffer, which is never
+			// reused, so it is stored without a copy.
 			err = rs.ForEachPacketLine(run, node, func(t time.Time, src string, line []byte) error {
 				return e.DB.Insert("Packets", reldb.Row{
-					int64(run), node, correct(node, t), src,
-					append([]byte(nil), line...),
+					int64(run), name(node), correct(node, t), name(src), line,
 				})
 			})
 			if err != nil {

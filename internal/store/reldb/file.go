@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -47,45 +46,63 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// Save writes the database to w.
+// Save writes the database to w in one streaming pass: each table header
+// and each row is encoded into one reused buffer, which a 64 KiB
+// bufio.Writer hands on to the CRC writer in large chunks. The allocations
+// of a Save do not grow with the row count.
 func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write(magic); err != nil {
-		return err
-	}
-	writeUvarint(cw, uint64(len(db.order)))
+	cw := &crcWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 64<<10)
+	buf := append(make([]byte, 0, 4<<10), magic...)
+	buf = binary.AppendUvarint(buf, uint64(len(db.order)))
 	for _, name := range db.order {
 		t := db.tables[name]
-		writeString(cw, name)
-		writeUvarint(cw, uint64(len(t.schema.Columns)))
+		buf = appendString(buf, name)
+		buf = binary.AppendUvarint(buf, uint64(len(t.schema.Columns)))
 		for _, c := range t.schema.Columns {
-			writeString(cw, c.Name)
-			cw.Write([]byte{byte(c.Type)})
+			buf = appendString(buf, c.Name)
+			buf = append(buf, byte(c.Type))
 		}
-		writeUvarint(cw, uint64(len(t.rows)))
+		buf = binary.AppendUvarint(buf, uint64(len(t.rows)))
 		for _, row := range t.rows {
 			for _, v := range row {
-				if err := writeValue(cw, v); err != nil {
+				var err error
+				if buf, err = appendValue(buf, v); err != nil {
 					return err
 				}
 			}
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], cw.crc)
-	if _, err := bw.Write(tail[:]); err != nil {
+	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], cw.crc))
+	return err
 }
 
-// Load reads a database previously written by Save.
+// Load reads a database previously written by Save. Blob values of the
+// returned database alias the buffer the file was read into; callers must
+// not modify them.
 func Load(r io.Reader) (*DB, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return decode(data)
+}
+
+// decode parses a saved database from data, which it keeps: blob values
+// are capacity-clipped subslices of it. It accepts exactly the byte
+// strings Save produces — canonical varints, normalized timestamps, no
+// trailing bytes — so Save(decode(x)) reproduces x.
+func decode(data []byte) (*DB, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("reldb: file too short")
 	}
@@ -94,7 +111,7 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("reldb: checksum mismatch (corrupted file)")
 	}
 	rd := &reader{data: body}
-	if string(rd.bytes(len(magic))) != string(magic) {
+	if string(rd.bytes(uint64(len(magic)))) != string(magic) {
 		return nil, fmt.Errorf("reldb: bad magic")
 	}
 	db := New()
@@ -127,76 +144,58 @@ func Load(r io.Reader) (*DB, error) {
 			}
 		}
 	}
+	if rd.err == nil && rd.pos != len(body) {
+		rd.err = fmt.Errorf("%d trailing bytes", len(body)-rd.pos)
+	}
 	if rd.err != nil {
 		return nil, fmt.Errorf("reldb: parse: %w", rd.err)
 	}
 	return db, nil
 }
 
-// SaveFile writes the database to path atomically and durably through the
+// SaveFile streams the database to path atomically and durably through the
 // store's staged-write helper (temp + fsync + rename + directory fsync): a
 // conditioned level-3 database handed to other researchers must survive a
 // crash at any point, same as the level-2 artifacts.
 func (db *DB) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		return err
-	}
-	return fsio.WriteFileAtomic(path, buf.Bytes())
+	return fsio.WriteAtomic(path, db.Save)
 }
 
-// OpenFile loads a database from path.
+// OpenFile loads a database from path. As with Load, blob values alias the
+// file buffer and must not be modified.
 func OpenFile(path string) (*DB, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return decode(data)
 }
 
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-func writeString(w io.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-func writeValue(w io.Writer, v any) error {
+func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		w.Write([]byte{tagNil})
+		b = append(b, tagNil)
 	case int64:
-		w.Write([]byte{tagInt})
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		w.Write(buf[:])
+		b = binary.LittleEndian.AppendUint64(append(b, tagInt), uint64(x))
 	case float64:
-		w.Write([]byte{tagFloat})
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		w.Write(buf[:])
+		b = binary.LittleEndian.AppendUint64(append(b, tagFloat), math.Float64bits(x))
 	case string:
-		w.Write([]byte{tagText})
-		writeString(w, x)
+		b = appendString(append(b, tagText), x)
 	case []byte:
-		w.Write([]byte{tagBlob})
-		writeUvarint(w, uint64(len(x)))
-		w.Write(x)
+		b = binary.AppendUvarint(append(b, tagBlob), uint64(len(x)))
+		b = append(b, x...)
 	case time.Time:
-		w.Write([]byte{tagTime})
-		var buf [12]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(x.Unix()))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(x.Nanosecond()))
-		w.Write(buf[:])
+		b = binary.LittleEndian.AppendUint64(append(b, tagTime), uint64(x.Unix()))
+		b = binary.LittleEndian.AppendUint32(b, uint32(x.Nanosecond()))
 	default:
-		return fmt.Errorf("reldb: cannot persist %T", v)
+		return b, fmt.Errorf("reldb: cannot persist %T", v)
 	}
-	return nil
+	return b, nil
 }
 
 type reader struct {
@@ -205,16 +204,21 @@ type reader struct {
 	err  error
 }
 
-func (r *reader) bytes(n int) []byte {
+// bytes returns the next n bytes as a capacity-clipped view of the
+// input. n comes from the file, so it is checked against what remains
+// before any int conversion: a hostile length prefix is an error, never a
+// slice-bounds panic.
+func (r *reader) bytes(n uint64) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.pos+n > len(r.data) {
+	if n > uint64(len(r.data)-r.pos) {
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
-	out := r.data[r.pos : r.pos+n]
-	r.pos += n
+	end := r.pos + int(n)
+	out := r.data[r.pos:end:end]
+	r.pos = end
 	return out
 }
 
@@ -235,13 +239,18 @@ func (r *reader) uvarint() uint64 {
 		r.err = io.ErrUnexpectedEOF
 		return 0
 	}
+	// Save writes minimal varints; an overlong one (a zero final byte)
+	// would not survive a Save round trip.
+	if n > 1 && r.data[r.pos+n-1] == 0 {
+		r.err = fmt.Errorf("non-canonical varint")
+		return 0
+	}
 	r.pos += n
 	return v
 }
 
 func (r *reader) string() string {
-	n := r.uvarint()
-	return string(r.bytes(int(n)))
+	return string(r.bytes(r.uvarint()))
 }
 
 func (r *reader) value() any {
@@ -263,8 +272,7 @@ func (r *reader) value() any {
 	case tagText:
 		return r.string()
 	case tagBlob:
-		n := r.uvarint()
-		return append([]byte(nil), r.bytes(int(n))...)
+		return r.bytes(r.uvarint())
 	case tagTime:
 		b := r.bytes(12)
 		if b == nil {
@@ -272,6 +280,10 @@ func (r *reader) value() any {
 		}
 		sec := int64(binary.LittleEndian.Uint64(b[:8]))
 		nsec := int64(binary.LittleEndian.Uint32(b[8:]))
+		if nsec >= 1e9 {
+			r.err = fmt.Errorf("time nanoseconds %d out of range", nsec)
+			return nil
+		}
 		return time.Unix(sec, nsec).UTC()
 	default:
 		if r.err == nil {

@@ -2,15 +2,22 @@ package reldb
 
 import (
 	"bytes"
-	"strings"
+	"io"
 	"testing"
 	"time"
 )
 
 func TestSaveRejectsUnsupportedType(t *testing.T) {
-	var b strings.Builder
-	if err := writeValue(&b, struct{}{}); err == nil {
+	if _, err := appendValue(nil, struct{}{}); err == nil {
 		t.Fatal("struct value persisted")
+	}
+	// Insert type-checks rows, so plant the value behind its back: Save
+	// must report it instead of writing a file Load cannot read.
+	db := New()
+	db.CreateTable(Schema{Name: "T", Columns: []Column{{Name: "a", Type: Int64}}})
+	db.tables["T"].rows = append(db.tables["T"].rows, Row{struct{}{}})
+	if err := db.Save(io.Discard); err == nil {
+		t.Fatal("Save persisted a struct value")
 	}
 }
 
@@ -89,5 +96,27 @@ func TestEmptyDatabaseRoundTrip(t *testing.T) {
 	}
 	if len(db2.Tables()) != 0 {
 		t.Fatalf("tables = %v", db2.Tables())
+	}
+}
+
+func TestLoadedBlobsAreCapacityClipped(t *testing.T) {
+	db := New()
+	db.CreateTable(Schema{Name: "T", Columns: []Column{{Name: "b", Type: Blob}}})
+	db.Insert("T", Row{[]byte("first")})
+	db.Insert("T", Row{[]byte("second")})
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := db2.Select(Query{Table: "T"})
+	// Blobs alias the file buffer; appending to one must reallocate, not
+	// overwrite the bytes that follow it.
+	_ = append(rows[0][0].([]byte), "XXXXXXXXXX"...)
+	if got := string(rows[1][0].([]byte)); got != "second" {
+		t.Fatalf("second blob = %q after appending to the first", got)
 	}
 }

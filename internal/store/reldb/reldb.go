@@ -333,10 +333,33 @@ func compareBytes(a, b []byte) int {
 	return 0
 }
 
+// sameType reports whether a and b hold the same storable value type.
+// Values of any other type never match anything.
+func sameType(a, b any) bool {
+	switch a.(type) {
+	case int64:
+		_, ok := b.(int64)
+		return ok
+	case float64:
+		_, ok := b.(float64)
+		return ok
+	case string:
+		_, ok := b.(string)
+		return ok
+	case []byte:
+		_, ok := b.([]byte)
+		return ok
+	case time.Time:
+		_, ok := b.(time.Time)
+		return ok
+	}
+	return false
+}
+
 func (p Pred) match(v any) bool {
 	// Type mismatches never match rather than panicking: a query with a
 	// wrong-typed operand selects nothing.
-	if v != nil && p.Val != nil && fmt.Sprintf("%T", v) != fmt.Sprintf("%T", p.Val) {
+	if v != nil && p.Val != nil && !sameType(v, p.Val) {
 		return false
 	}
 	if v == nil || p.Val == nil {
@@ -392,7 +415,7 @@ func (db *DB) Select(q Query) ([]Row, error) {
 			continue
 		}
 		if idx, has := t.indexes[p.Col]; has {
-			cands = append([]int(nil), idx[indexKey(p.Val)]...)
+			cands = idx[indexKey(p.Val)] // read-only below
 			useIndex = true
 			break
 		}

@@ -192,6 +192,32 @@ func TestTypeMismatchPredicateSelectsNothing(t *testing.T) {
 	}
 }
 
+func TestWrongTypedOperandSelectsNothingIndexedOrNot(t *testing.T) {
+	db := sampleDB(t)
+	if err := db.CreateIndex("Events", "RunID"); err != nil {
+		t.Fatal(err)
+	}
+	// RunID is indexed, NodeID is not. Every operand has the wrong
+	// dynamic type for its column, including int for int64 and a blob
+	// for text, whose values would compare equal under a looser check.
+	for col, vals := range map[string][]any{
+		"RunID":  {1, int32(1), "1", 1.0, []byte{1}, time.Time{}},
+		"NodeID": {[]byte("n1"), 1, int64(1), 1.0, time.Time{}},
+	} {
+		for _, v := range vals {
+			for op := OpEq; op <= OpGe; op++ {
+				rows, err := db.Select(Query{Table: "Events", Where: []Pred{{Col: col, Op: op, Val: v}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 0 {
+					t.Errorf("%s op %d %T(%v): %d rows, want 0", col, op, v, v, len(rows))
+				}
+			}
+		}
+	}
+}
+
 func TestIndexEquivalence(t *testing.T) {
 	db := sampleDB(t)
 	plain, err := db.Select(Query{Table: "Events", Where: []Pred{Eq("NodeID", "n1")}})
