@@ -45,10 +45,11 @@ check: fmt vet lint validate-descriptions race
 
 # bench records all benchmarks (with allocations) as a dated JSON stream
 # of go test events, comparable across sessions with excovery-bench or
-# plain jq. It also appends a one-line Fig. 3 allocs/op delta against the
-# newest prior BENCH_*.json to CHANGES.md.
+# plain jq. Every benchmark runs five times; excovery-bench reduces the
+# repeats to the per-unit median. It also appends a one-line Fig. 3
+# allocs/op delta against the newest prior BENCH_*.json to CHANGES.md.
 bench:
-	$(GO) test -json -run='^$$' -bench=. -benchmem ./... | tee BENCH_$(DATE).json
+	$(GO) test -json -run='^$$' -bench=. -count=5 -benchmem ./... | tee BENCH_$(DATE).json
 	@$(GO) run ./cmd/excovery-bench -changes BENCH_$(DATE).json >> CHANGES.md && tail -1 CHANGES.md
 
 # bench-gate replays the gate CI runs: a fresh recording checked against
@@ -67,9 +68,14 @@ bench-gate:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# fuzz-smoke fuzzes the level-3 file parser (reldb.Load) for ten seconds:
-# Load must never panic, and must accept only what Save writes. A failing
-# input lands in internal/store/reldb/testdata/fuzz/ and then replays as a
-# plain test case under `go test`. Wired into CI.
+# fuzz-smoke fuzzes each untrusted-input parser for ten seconds: the
+# level-3 file parser (reldb.Load must never panic and must accept only
+# what Save writes), XML-RPC request/response decoding (no panic), and the
+# description front end (parse → Validate → GeneratePlan: no panic, and
+# every description Validate accepts plans). A failing input lands in the
+# package's testdata/fuzz/ and then replays as a plain test case under
+# `go test`. Wired into CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/store/reldb/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeCall -fuzztime=10s ./internal/xmlrpc/
+	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/desc/

@@ -14,7 +14,9 @@
 //
 // Without an explicit OLD.json, the baseline is the newest other
 // BENCH_*.json next to NEW.json (override the directory with
-// -baseline-dir). -check exits 2 on a threshold breach.
+// -baseline-dir). -check exits 2 on a threshold breach. Repeated result
+// lines of one benchmark (go test -count > 1) reduce to the per-unit
+// median.
 package main
 
 import (
@@ -123,8 +125,9 @@ type series map[string]float64
 
 // suite is one parsed benchmark recording.
 type suite struct {
-	order []string          // benchmark names, sorted
-	bench map[string]series // name → unit → value
+	order []string            // benchmark names, sorted
+	bench map[string]series   // name → unit → value (median over runs)
+	runs  map[string][]series // name → every run's values, in input order
 }
 
 // resultLine matches one benchmark result line: name, iteration count,
@@ -151,7 +154,7 @@ func parseFile(path string) (*suite, error) {
 // padded name first, the metric columns second — so output is reassembled
 // per (package, test) before line parsing.
 func parseStream(r io.Reader) (*suite, error) {
-	s := &suite{bench: map[string]series{}}
+	s := &suite{bench: map[string]series{}, runs: map[string][]series{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	pending := map[string]string{} // package/test → unterminated output fragment
@@ -201,11 +204,34 @@ func parseStream(r io.Reader) (*suite, error) {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
 	sort.Strings(s.order)
+	for name, runs := range s.runs {
+		s.bench[name] = median(runs)
+	}
 	return s, nil
 }
 
+// median reduces repeated runs of one benchmark (go test -count > 1) to
+// the per-unit median; with an even number of values it is the mean of
+// the middle two. A unit missing from some runs takes the median of the
+// runs that report it.
+func median(runs []series) series {
+	vals := map[string][]float64{}
+	for _, ser := range runs {
+		for u, v := range ser {
+			vals[u] = append(vals[u], v)
+		}
+	}
+	out := series{}
+	for u, vs := range vals {
+		sort.Float64s(vs)
+		n := len(vs)
+		out[u] = (vs[(n-1)/2] + vs[n/2]) / 2
+	}
+	return out
+}
+
 // addLine parses one output line, recording it when it is a benchmark
-// result. A repeated name (go test -count > 1) keeps the last run.
+// result. Repeated names (go test -count > 1) accumulate one run each.
 func (s *suite) addLine(line string) {
 	m := resultLine.FindStringSubmatch(strings.TrimRight(line, "\r"))
 	if m == nil {
@@ -227,10 +253,10 @@ func (s *suite) addLine(line string) {
 	if len(ser) == 0 {
 		return
 	}
-	if _, seen := s.bench[name]; !seen {
+	if _, seen := s.runs[name]; !seen {
 		s.order = append(s.order, name)
 	}
-	s.bench[name] = ser
+	s.runs[name] = append(s.runs[name], ser)
 }
 
 // unitOrder ranks units for display: the standard columns first, custom
@@ -420,9 +446,21 @@ func mapHas(m map[string]float64, k string) bool {
 }
 
 // checkThresholds compares every benchmark present in both recordings
-// against the configured ceilings and describes each breach.
+// against the configured ceilings and describes each breach. A benchmark
+// the thresholds name individually but the new recording lacks is a breach
+// too: renaming or deleting it must not silently drop its gate.
 func checkThresholds(cur, base *suite, th *thresholds) []string {
 	var out []string
+	named := make([]string, 0, len(th.Benchmarks))
+	for name := range th.Benchmarks {
+		named = append(named, name)
+	}
+	sort.Strings(named)
+	for _, name := range named {
+		if _, ok := cur.bench[name]; !ok {
+			out = append(out, fmt.Sprintf("MISSING %s: gated by the thresholds file but absent from the new recording", name))
+		}
+	}
 	for _, name := range cur.order {
 		ser := cur.bench[name]
 		old, ok := base.bench[name]

@@ -111,15 +111,43 @@ func TestChangesNoteNoBaseline(t *testing.T) {
 	}
 }
 
-// TestCheckGate exercises the regression gate both ways against the
-// checked-in thresholds: a mild drift passes, the injected >10% allocs/op
-// regression exits non-zero and names the offender.
+// gatedLines returns one zero-alloc result line for every benchmark the
+// thresholds file names individually, except those already in fixture, so
+// gate fixtures carry every benchmark the gate insists on.
+func gatedLines(t *testing.T, thPath, fixture string) string {
+	t.Helper()
+	th, err := loadThresholds(thPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for name := range th.Benchmarks {
+		if !strings.Contains(fixture, name+" ") {
+			sb.WriteString(name + " \t 100\t 1000 ns/op\t 0 B/op\t 0 allocs/op\n")
+		}
+	}
+	return sb.String()
+}
+
+// TestCheckGate exercises the regression gate against the checked-in
+// thresholds: a mild drift passes, the injected >10% allocs/op regression
+// exits non-zero and names the offender, and so does a recording that
+// lacks a benchmark the thresholds gate individually.
 func TestCheckGate(t *testing.T) {
 	dir := t.TempDir()
-	basePath := writeBench(t, dir, "BENCH_20260601.json", baseBench)
-	okPath := writeBench(t, dir, "ok.json", newBench)
-	badPath := writeBench(t, dir, "bad.json", regressedBench)
 	thPath := filepath.Join("..", "..", "bench-thresholds.json")
+	gated := gatedLines(t, thPath, baseBench)
+	basePath := writeBench(t, dir, "BENCH_20260601.json", baseBench+gated)
+	okPath := writeBench(t, dir, "ok.json", newBench+gated)
+	badPath := writeBench(t, dir, "bad.json", regressedBench+gated)
+	const dropped = "BenchmarkEmulatorDeliverySteadyState"
+	var kept []string
+	for _, line := range strings.SplitAfter(newBench+gated, "\n") {
+		if !strings.HasPrefix(line, dropped+" ") {
+			kept = append(kept, line)
+		}
+	}
+	missingPath := writeBench(t, dir, "missing.json", strings.Join(kept, ""))
 
 	var out bytes.Buffer
 	if code := run([]string{"-check", thPath, okPath, basePath}, &out, &out); code != 0 {
@@ -132,6 +160,36 @@ func TestCheckGate(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "REGRESSION BenchmarkFig3FullWorkflow allocs/op: 6000 -> 7000") {
 		t.Errorf("breach not reported:\n%s", out.String())
+	}
+	out.Reset()
+	if code := run([]string{"-check", thPath, missingPath, basePath}, &out, &out); code != 2 {
+		t.Fatalf("recording without gated %s passed the gate: exit %d\n%s", dropped, code, out.String())
+	}
+	if !strings.Contains(out.String(), "MISSING "+dropped) {
+		t.Errorf("missing benchmark not reported:\n%s", out.String())
+	}
+}
+
+// TestParseRepeatsTakeMedian checks that -count repeats of one benchmark
+// reduce to the per-unit median rather than the last run.
+func TestParseRepeatsTakeMedian(t *testing.T) {
+	const repeats = "BenchmarkX-8 \t 100\t 300 ns/op\t 7 allocs/op\n" +
+		"BenchmarkX-8 \t 100\t 200 ns/op\t 8 allocs/op\n" +
+		"BenchmarkX-8 \t 100\t 100 ns/op\t 9 allocs/op\n" +
+		"BenchmarkY-8 \t 100\t 10 ns/op\n" +
+		"BenchmarkY-8 \t 100\t 30 ns/op\n"
+	s, err := parseStream(strings.NewReader(repeats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.order) != 2 {
+		t.Fatalf("order = %v, want one entry per name", s.order)
+	}
+	if x := s.bench["BenchmarkX"]; x["ns/op"] != 200 || x["allocs/op"] != 8 {
+		t.Errorf("BenchmarkX = %v, want the median 200 ns/op, 8 allocs/op, not the last run's 100/9", x)
+	}
+	if y := s.bench["BenchmarkY"]; y["ns/op"] != 20 {
+		t.Errorf("BenchmarkY = %v, want 20 ns/op (mean of the middle two)", y)
 	}
 }
 

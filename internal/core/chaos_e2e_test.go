@@ -115,10 +115,10 @@ func TestRegistryChurnDeterministicLevel3(t *testing.T) {
 	}
 }
 
-// TestChaosLevel3IdenticalAcrossGOMAXPROCS pins the determinism contract
-// of the sharded emulator era at the artifact level: for one seed, the
-// serialized level-3 database of a chaos scenario must be byte-identical
-// whether the process runs on one core or eight.
+// TestChaosLevel3IdenticalAcrossGOMAXPROCS pins the emulator's determinism
+// contract at the artifact level: for one seed, the serialized level-3
+// database of a chaos scenario must be byte-identical whether the process
+// runs on one core or eight.
 func TestChaosLevel3IdenticalAcrossGOMAXPROCS(t *testing.T) {
 	scenarios := map[string]func(int) *desc.Experiment{
 		"reorder":        desc.ChaosReorder,

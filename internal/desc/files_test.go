@@ -7,7 +7,7 @@ import (
 )
 
 // repoRoot walks up from the package directory to the module root.
-func repoRoot(t *testing.T) string {
+func repoRoot(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {

@@ -183,55 +183,6 @@ func TestLockorderGolden(t *testing.T) {
 	}
 }
 
-// TestLockorderSeesShardHierarchy pins the sharded scheduler's lock
-// hierarchy into the module lock graph: barrier inbox installation holds
-// Group.mu while calling into member schedulers that take Scheduler.mu,
-// so the graph must contain the Group.mu → Scheduler.mu edge. With the
-// edge modeled, any future path that locks Scheduler.mu and then calls
-// back into the group becomes a reported cycle instead of a latent
-// GOMAXPROCS>1 deadlock — and TestRepoClean keeps the graph acyclic.
-func TestLockorderSeesShardHierarchy(t *testing.T) {
-	mod, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	fx := newFacts()
-	for _, pkg := range mod.Pkgs {
-		if pkg.broken || pkg.Types == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			lockorderCollect(f, fx)
-		}
-	}
-	const groupMu = "excovery/internal/sched.Group.mu"
-	const schedMu = "excovery/internal/sched.Scheduler.mu"
-	acquiresSched := map[string]bool{}
-	var heldUnderGroup []lockCall
-	for _, key := range fx.Keys("lockorder") {
-		v, _ := fx.Get("lockorder", key)
-		fact := v.(*lockFnFact)
-		if _, ok := fact.acquires[schedMu]; ok {
-			acquiresSched[fact.name] = true
-		}
-		for _, h := range fact.held {
-			if h.from == groupMu {
-				heldUnderGroup = append(heldUnderGroup, h)
-			}
-		}
-	}
-	if len(acquiresSched) == 0 {
-		t.Fatal("no function acquires Scheduler.mu; lock identities drifted")
-	}
-	for _, h := range heldUnderGroup {
-		if acquiresSched[h.callee] {
-			return // Group.mu → Scheduler.mu edge present
-		}
-	}
-	t.Fatalf("lock graph lacks the %s → %s shard hierarchy edge (held calls under Group.mu: %v)",
-		groupMu, schedMu, heldUnderGroup)
-}
-
 func TestMaporderGolden(t *testing.T) {
 	mod := loadFixture(t, "maporder", "excovery/internal/core/testcase")
 	checkGolden(t, mod, Maporder())

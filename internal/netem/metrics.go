@@ -80,6 +80,6 @@ func (r *Rule) instrument(reg *obs.Registry, node NodeID) {
 // drop records one discarded packet in the network-wide statistics and, on
 // an instrumented network, the node's per-reason drop counter.
 func (n *Node) drop(reason DropReason) {
-	n.sh.stats.Dropped[reason]++
+	n.net.stats.Dropped[reason]++
 	n.m.dropped[reason].Inc()
 }

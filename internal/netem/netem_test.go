@@ -31,11 +31,23 @@ func TestUnicastOneHop(t *testing.T) {
 	nw.AddLink("a", "b", lossless(2*time.Millisecond))
 	var got *Packet
 	var at time.Time
-	b.SetHandler(func(p *Packet) { got = keep(p); at = s.Now() })
+	var sent, delivered []uint64
+	b.SetHandler(func(p *Packet) {
+		if got == nil {
+			got = keep(p)
+			at = s.Now()
+		}
+		delivered = append(delivered, p.ID)
+	})
 	start := s.Now()
 	s.Go("send", func() {
-		if _, ok := a.Send(Unicast("b"), "test", []byte("hello")); !ok {
-			t.Error("Send failed")
+		for i := 0; i < 2; i++ {
+			id, ok := a.Send(Unicast("b"), "test", []byte("hello"))
+			if !ok {
+				t.Error("Send failed")
+			}
+			sent = append(sent, id)
+			s.Sleep(10 * time.Millisecond)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -43,6 +55,11 @@ func TestUnicastOneHop(t *testing.T) {
 	}
 	if got == nil {
 		t.Fatal("packet not delivered")
+	}
+	// Packet IDs count up from 1 per network, and each delivered packet
+	// carries the ID its Send returned.
+	if fmt.Sprint(sent) != "[1 2]" || fmt.Sprint(delivered) != "[1 2]" {
+		t.Fatalf("sent IDs %v, delivered IDs %v; want [1 2] for both", sent, delivered)
 	}
 	if string(got.Payload) != "hello" || got.Src != "a" {
 		t.Fatalf("packet = %+v", got)

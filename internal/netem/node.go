@@ -11,15 +11,14 @@ import (
 // delivery path, so it must not block on scheduler primitives (Sleep,
 // Cond.Wait, Queue.Pop) — use ScheduleFunc or a task for deferred work —
 // and it must not retain p or p.Path beyond the call: the packet returns
-// to the shard's pool when the handler returns. Payload may be retained;
-// payload buffers are never pooled.
+// to the network's pool when the handler returns. Payload may be
+// retained; payload buffers are never pooled.
 type Handler func(p *Packet)
 
 // Node is one emulated network node.
 type Node struct {
 	id     NodeID
 	net    *Network
-	sh     *shardState
 	params NodeParams
 	clock  vclock.Clock
 	rng    *rand.Rand
@@ -37,7 +36,7 @@ type Node struct {
 	curTx   time.Duration
 	pumping bool
 	// busyUntil is the CSMA medium reservation on this node (written by
-	// the node itself and its same-shard neighbors).
+	// the node itself and its neighbors).
 	busyUntil time.Time
 
 	up      bool
@@ -93,7 +92,7 @@ func (n *Node) Clock() vclock.Clock { return n.clock }
 // clock deviation).
 func (n *Node) SetClock(c vclock.Clock) {
 	if c == nil {
-		c = vclock.Perfect{S: n.sh.s}
+		c = vclock.Perfect{S: n.net.s}
 	}
 	n.clock = c
 }
@@ -136,7 +135,7 @@ func (n *Node) popRing() transmission {
 func (n *Node) drainRing() {
 	for n.queueLen() > 0 {
 		x := n.popRing()
-		n.sh.freePacket(x.pkt)
+		n.net.freePacket(x.pkt)
 	}
 	n.m.queueDepth.Set(0)
 }
@@ -144,7 +143,7 @@ func (n *Node) drainRing() {
 // drainPausedQ discards the paused-process receive buffer.
 func (n *Node) drainPausedQ() {
 	for _, p := range n.pausedQ {
-		n.sh.freePacket(p)
+		n.net.freePacket(p)
 	}
 	n.pausedQ = nil
 }
@@ -172,7 +171,6 @@ func (n *Node) SetInterface(up bool) {
 	if n.up == up {
 		return
 	}
-	n.net.frozenTopo()
 	n.up = up
 	n.net.routesDirty = true
 }
@@ -199,7 +197,6 @@ func (n *Node) SetKilled(on bool) {
 	if n.killed == on {
 		return
 	}
-	n.net.frozenTopo()
 	n.killed = on
 	if on {
 		n.drainRing()
@@ -228,7 +225,7 @@ func (n *Node) SetPaused(on bool) {
 	n.pausedQ = nil
 	for _, p := range q {
 		p.rcv = n
-		n.sh.s.ScheduleEvent(0, processEvent, p)
+		n.net.s.ScheduleEvent(0, processEvent, p)
 	}
 }
 
@@ -266,19 +263,19 @@ func (n *Node) capture(p *Packet, dir CaptureDir) {
 // assigned packet ID; ok is false if the packet was dropped locally (down
 // interface, full queue, tx rule, or no route).
 func (n *Node) Send(dst Dest, proto string, payload []byte) (id uint64, ok bool) {
-	sh := n.sh
-	sh.stats.Sent++
+	nw := n.net
+	nw.stats.Sent++
 	n.m.sent.Inc()
-	sh.pktSeq++
-	p := sh.newPacket()
-	p.ID = sh.pktSeq*uint64(len(n.net.shards)) + uint64(sh.idx)
+	nw.pktSeq++
+	p := nw.newPacket()
+	p.ID = nw.pktSeq
 	p.Src = n.id
 	p.Dst = dst
 	p.Proto = proto
 	p.Payload = payload
-	p.TTL = n.net.DefaultTTL
+	p.TTL = nw.DefaultTTL
 	p.Path = append(p.Path, n.id)
-	p.SentAt = sh.s.Now()
+	p.SentAt = nw.s.Now()
 	if n.tagging {
 		n.tag++
 		p.Tag = n.tag
@@ -299,23 +296,22 @@ func (n *Node) Send(dst Dest, proto string, payload []byte) (id uint64, ok bool)
 // it, on any refusal it is recycled.
 func (n *Node) enqueue(p *Packet) bool {
 	nw := n.net
-	sh := n.sh
 	if !n.up || n.txDown {
 		n.drop(DropIfDown)
-		sh.freePacket(p)
+		nw.freePacket(p)
 		return false
 	}
 	if n.killed || n.paused {
 		// A killed or frozen process cannot send; attempts by its still-
 		// scheduled tasks are discarded.
 		n.drop(DropProc)
-		sh.freePacket(p)
+		nw.freePacket(p)
 		return false
 	}
 	v := n.evalRules(p, CaptureTx)
 	if v.drop {
 		n.drop(DropRule)
-		sh.freePacket(p)
+		nw.freePacket(p)
 		return false
 	}
 	x := transmission{pkt: p, extraDelay: v.delay}
@@ -323,14 +319,14 @@ func (n *Node) enqueue(p *Packet) bool {
 		hop, ok := nw.NextHop(n.id, p.Dst.Node)
 		if !ok {
 			n.drop(DropNoRoute)
-			sh.freePacket(p)
+			nw.freePacket(p)
 			return false
 		}
 		x.nextHop = hop
 	}
 	if n.queueLen() >= n.params.QueueLen {
 		n.drop(DropQueue)
-		sh.freePacket(p)
+		nw.freePacket(p)
 		return false
 	}
 	n.pushRing(x)
@@ -338,16 +334,16 @@ func (n *Node) enqueue(p *Packet) bool {
 		// Duplicate rule: queue a second copy of the transmission, as an
 		// independent clone (pool ownership). The copy bypasses rule
 		// evaluation so a duplication probability of 1 cannot cascade.
-		sh.stats.RuleDuplicates++
+		nw.stats.RuleDuplicates++
 		n.m.dupRule.Inc()
-		n.pushRing(transmission{pkt: p.cloneInto(sh.newPacket()), nextHop: x.nextHop, extraDelay: v.delay})
+		n.pushRing(transmission{pkt: p.cloneInto(nw.newPacket()), nextHop: x.nextHop, extraDelay: v.delay})
 	}
 	n.m.queueDepth.Set(int64(n.queueLen()))
 	if !n.pumping {
 		// Idle radio: start the pump at the current instant, in the same
 		// runnable-FIFO position the old pump daemon's wakeup took.
 		n.pumping = true
-		sh.s.PostEvent(pumpNextEvent, n)
+		nw.s.PostEvent(pumpNextEvent, n)
 	}
 	return true
 }
@@ -373,7 +369,7 @@ func pumpTxDoneEvent(now time.Time, arg any) {
 	n.cur = transmission{}
 	if !n.up || n.txDown || n.killed {
 		n.drop(DropIfDown)
-		n.sh.freePacket(x.pkt)
+		n.net.freePacket(x.pkt)
 	} else {
 		n.transmit(x, now)
 	}
@@ -414,41 +410,40 @@ func (n *Node) contendOrTransmit(now time.Time) {
 		// channel, with a small random backoff against lockstep.
 		if n.busyUntil.After(now) {
 			wait := n.busyUntil.Sub(now) + time.Duration(n.rng.Int63n(int64(50*time.Microsecond)))
-			n.sh.s.ScheduleEvent(wait, pumpRetryEvent, n)
+			n.net.s.ScheduleEvent(wait, pumpRetryEvent, n)
 			return
 		}
-		// Reserve the channel at the sender and all its (same-shard)
-		// neighbors.
+		// Reserve the channel at the sender and all its neighbors.
 		until := now.Add(n.curTx)
 		if until.After(n.busyUntil) {
 			n.busyUntil = until
 		}
 		for _, e := range n.edges {
-			if e.n.sh == n.sh && until.After(e.n.busyUntil) {
+			if until.After(e.n.busyUntil) {
 				e.n.busyUntil = until
 			}
 		}
 	}
-	n.sh.s.ScheduleEvent(n.curTx, pumpTxDoneEvent, n)
+	n.net.s.ScheduleEvent(n.curTx, pumpTxDoneEvent, n)
 }
 
 // transmit propagates one radio transmission to its neighbor(s) and
 // recycles the transmission's packet.
 func (n *Node) transmit(x transmission, now time.Time) {
-	sh := n.sh
-	sh.stats.Transmissions++
+	nw := n.net
+	nw.stats.Transmissions++
 	n.m.transmit.Inc()
 	n.capture(x.pkt, CaptureTx)
 	if x.pkt.Dst.IsUnicast() {
 		if x.pkt.Dst.Node == n.id {
 			// Loopback delivery.
-			q := x.pkt.cloneInto(sh.newPacket())
-			sh.freePacket(x.pkt)
+			q := x.pkt.cloneInto(nw.newPacket())
+			nw.freePacket(x.pkt)
 			n.receive(q, now)
 			return
 		}
 		n.propagate(x.pkt, x.nextHop, x.extraDelay, now)
-		sh.freePacket(x.pkt)
+		nw.freePacket(x.pkt)
 		return
 	}
 	// Flood: one transmission reaches every neighbor, each with an
@@ -457,7 +452,7 @@ func (n *Node) transmit(x transmission, now time.Time) {
 	for _, e := range n.edges {
 		n.propagateLink(x.pkt, e.n, e.lp, x.extraDelay, now)
 	}
-	sh.freePacket(x.pkt)
+	nw.freePacket(x.pkt)
 }
 
 // propagate models the unicast hop from n to neighbor nb.
@@ -472,7 +467,7 @@ func (n *Node) propagate(p *Packet, nb NodeID, extra time.Duration, now time.Tim
 
 // propagateLink models the link from n to target: loss, delay, jitter,
 // plus any rule-injected extra delay. The delivery is an independently
-// owned clone of p, scheduled as an inline event on the target's shard.
+// owned clone of p, scheduled as an inline event.
 func (n *Node) propagateLink(p *Packet, target *Node, lp *LinkParams, extra time.Duration, now time.Time) {
 	if lp.Burst != nil {
 		b := lp.Burst
@@ -501,13 +496,9 @@ func (n *Node) propagateLink(p *Packet, target *Node, lp *LinkParams, extra time
 	if lp.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(lp.Jitter)))
 	}
-	q := p.cloneInto(n.sh.newPacket())
+	q := p.cloneInto(n.net.newPacket())
 	q.rcv = target
-	if target.sh == n.sh {
-		n.sh.s.ScheduleEvent(delay, receiveEvent, q)
-	} else {
-		n.net.g.Post(target.sh.idx, n.sh.idx, now.Add(delay), receiveEvent, q)
-	}
+	n.net.s.ScheduleEvent(delay, receiveEvent, q)
 }
 
 // receiveEvent is the arrival of one packet at its target node; the target
@@ -542,7 +533,7 @@ func processResumeEvent(now time.Time, arg any) {
 func (n *Node) receive(p *Packet, now time.Time) {
 	if !n.up || n.rxDown || n.killed {
 		n.drop(DropIfDown)
-		n.sh.freePacket(p)
+		n.net.freePacket(p)
 		return
 	}
 	p.Path = append(p.Path, n.id)
@@ -550,7 +541,7 @@ func (n *Node) receive(p *Packet, now time.Time) {
 	if n.paused {
 		if len(n.pausedQ) >= n.params.QueueLen {
 			n.drop(DropProc)
-			n.sh.freePacket(p)
+			n.net.freePacket(p)
 			return
 		}
 		n.pausedQ = append(n.pausedQ, p)
@@ -567,13 +558,13 @@ func (n *Node) process(p *Packet, now time.Time) {
 	v := n.evalRules(p, CaptureRx)
 	if v.drop {
 		n.drop(DropRule)
-		n.sh.freePacket(p)
+		n.net.freePacket(p)
 		return
 	}
 	if v.delay > 0 {
 		p.rcv = n
 		p.rxDup = v.dup
-		n.sh.s.ScheduleEvent(v.delay, processResumeEvent, p)
+		n.net.s.ScheduleEvent(v.delay, processResumeEvent, p)
 		return
 	}
 	n.processAfterDelay(p, v.dup, now)
@@ -582,25 +573,25 @@ func (n *Node) process(p *Packet, now time.Time) {
 // processAfterDelay performs duplicate suppression, local delivery and
 // forwarding/reflooding.
 func (n *Node) processAfterDelay(p *Packet, dup bool, now time.Time) {
-	sh := n.sh
+	nw := n.net
 	if p.Dst.IsUnicast() {
 		if p.Dst.Node == n.id {
 			n.deliver(p)
 			if dup {
-				sh.stats.RuleDuplicates++
+				nw.stats.RuleDuplicates++
 				n.m.dupRule.Inc()
-				c := p.cloneInto(sh.newPacket())
+				c := p.cloneInto(nw.newPacket())
 				n.deliver(c)
-				sh.freePacket(c)
+				nw.freePacket(c)
 			}
-			sh.freePacket(p)
+			nw.freePacket(p)
 			return
 		}
 		// Relay. The duplicate clone is taken before enqueue consumes p.
 		if dup {
-			c := p.cloneInto(sh.newPacket())
+			c := p.cloneInto(nw.newPacket())
 			n.enqueue(p)
-			sh.stats.RuleDuplicates++
+			nw.stats.RuleDuplicates++
 			n.m.dupRule.Inc()
 			n.enqueue(c)
 			return
@@ -613,26 +604,26 @@ func (n *Node) processAfterDelay(p *Packet, dup bool, now time.Time) {
 	// flood packet delivers twice but refloods once: the copy would be
 	// suppressed by every receiver's seen map anyway.
 	if n.seen[p.ID] {
-		sh.stats.Duplicates++
+		nw.stats.Duplicates++
 		n.m.dupFlood.Inc()
-		sh.freePacket(p)
+		nw.freePacket(p)
 		return
 	}
 	n.seen[p.ID] = true
 	if p.Dst.Broadcast || n.member[p.Dst.Group] {
 		n.deliver(p)
 		if dup {
-			sh.stats.RuleDuplicates++
+			nw.stats.RuleDuplicates++
 			n.m.dupRule.Inc()
-			c := p.cloneInto(sh.newPacket())
+			c := p.cloneInto(nw.newPacket())
 			n.deliver(c)
-			sh.freePacket(c)
+			nw.freePacket(c)
 		}
 	}
 	p.TTL--
 	if p.TTL <= 0 {
 		n.drop(DropTTL)
-		n.sh.freePacket(p)
+		n.net.freePacket(p)
 		return
 	}
 	n.enqueue(p)
@@ -641,7 +632,7 @@ func (n *Node) processAfterDelay(p *Packet, dup bool, now time.Time) {
 // deliver hands p to the node handler; the caller retains ownership (the
 // handler must not keep the packet, see Handler).
 func (n *Node) deliver(p *Packet) {
-	n.sh.stats.Delivered++
+	n.net.stats.Delivered++
 	n.m.delivered.Inc()
 	if n.handler != nil {
 		n.handler(p)

@@ -174,11 +174,6 @@ type Scheduler struct {
 	running   bool // a Run* call is active
 	daemons   int  // live daemon tasks
 	keepAlive bool // RealTime: stay in Run when quiescent, awaiting Inject
-	// member marks the scheduler as a shard of a Group: a Virtual-mode
-	// window that ends with blocked tasks is not a deadlock (the wakeup
-	// may arrive as a cross-shard event at the next barrier), so run
-	// returns nil and leaves the diagnosis to the group.
-	member bool
 
 	// idleWorkers holds parked task goroutines for reuse; timerFree holds
 	// recycled event timers. Both are touched only under mu.
@@ -239,13 +234,6 @@ func (s *Scheduler) SetKeepAlive(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.keepAlive = on
-}
-
-// setMember marks the scheduler as a Group shard (see Group).
-func (s *Scheduler) setMember(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.member = on
 }
 
 // Now returns the current virtual time. It may be called from any goroutine.
@@ -614,14 +602,6 @@ func (s *Scheduler) run(deadline time.Time) error {
 			}
 			continue
 		}
-		if s.member {
-			// A group shard with blocked tasks is not (yet) deadlocked:
-			// the wakeup may arrive from another shard at the next
-			// barrier. The Group reports the deadlock if every shard is
-			// stuck and no cross-shard event is pending.
-			s.mu.Unlock()
-			return nil
-		}
 		blocked := s.blockedNamesLocked()
 		now := s.now
 		s.mu.Unlock()
@@ -657,35 +637,6 @@ func (s *Scheduler) blockedNamesLocked() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// BlockedTasks returns the names of blocked non-daemon tasks, formatted as
-// in a DeadlockError. The Group uses it to assemble a cross-shard deadlock
-// report; it must only be called while the scheduler is idle.
-func (s *Scheduler) BlockedTasks() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blockedNamesLocked()
-}
-
-// NextEventTime returns the virtual time of the scheduler's next pending
-// work item: Now() if anything is runnable, else the earliest timer's fire
-// time. ok is false when the scheduler has nothing pending. Group barriers
-// use it to pick the next lookahead window.
-func (s *Scheduler) NextEventTime() (when time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.runnable) > 0 {
-		return s.now, true
-	}
-	for s.timers.Len() > 0 {
-		if s.timers[0].stopped {
-			s.timers.pop()
-			continue
-		}
-		return s.timers[0].when, true
-	}
-	return time.Time{}, false
 }
 
 // block parks the current task. The caller must have already registered the
@@ -850,22 +801,7 @@ func (s *Scheduler) ScheduleEvent(d time.Duration, fn func(now time.Time, arg an
 		d = 0
 	}
 	s.mu.Lock()
-	s.scheduleEventAtLocked(s.now.Add(d), fn, arg)
-	s.mu.Unlock()
-}
-
-// ScheduleEventAt is ScheduleEvent with an absolute firing time (clamped to
-// the present). Group barriers use it to install cross-shard events.
-func (s *Scheduler) ScheduleEventAt(when time.Time, fn func(now time.Time, arg any), arg any) {
-	s.mu.Lock()
-	if when.Before(s.now) {
-		when = s.now
-	}
-	s.scheduleEventAtLocked(when, fn, arg)
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) scheduleEventAtLocked(when time.Time, fn func(now time.Time, arg any), arg any) {
+	when := s.now.Add(d)
 	s.seq++
 	var tm *Timer
 	if k := len(s.timerFree); k > 0 {
@@ -882,6 +818,7 @@ func (s *Scheduler) scheduleEventAtLocked(when time.Time, fn func(now time.Time,
 	tm.eventFn = fn
 	tm.eventArg = arg
 	s.timers.push(tm)
+	s.mu.Unlock()
 }
 
 // releaseTimerLocked returns a fired event timer to the free list.
