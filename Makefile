@@ -70,12 +70,17 @@ bench-smoke:
 
 # fuzz-smoke fuzzes each untrusted-input parser for ten seconds: the
 # level-3 file parser (reldb.Load must never panic and must accept only
-# what Save writes), XML-RPC request/response decoding (no panic), and the
+# what Save writes), XML-RPC request/response decoding (no panic), the
 # description front end (parse → Validate → GeneratePlan: no panic, and
-# every description Validate accepts plans). A failing input lands in the
-# package's testdata/fuzz/ and then replays as a plain test case under
-# `go test`. Wired into CI.
+# every description Validate accepts plans), level-2 packet conditioning
+# (the one-scan extractor must agree with json.Unmarshal on every line)
+# and journal replay (no panic, deterministic, a cut at any byte loses at
+# most the torn record). A failing input lands in the package's
+# testdata/fuzz/ and then replays as a plain test case under `go test`.
+# Wired into CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/store/reldb/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCall -fuzztime=10s ./internal/xmlrpc/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/desc/
+	$(GO) test -run='^$$' -fuzz=FuzzPacketMeta -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/store/

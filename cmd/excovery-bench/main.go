@@ -440,6 +440,14 @@ func (th *thresholds) limits(bench, unit string) (maxInc, maxDec float64, incOK,
 	return
 }
 
+// allocsRose reports whether allocs/op grew from base to cur; a side
+// without allocs/op counts as grown, so B/op then gates on its own.
+func allocsRose(base, cur map[string]float64) bool {
+	b, okB := base["allocs/op"]
+	c, okC := cur["allocs/op"]
+	return !okB || !okC || c > b
+}
+
 func mapHas(m map[string]float64, k string) bool {
 	_, ok := m[k]
 	return ok
@@ -448,7 +456,12 @@ func mapHas(m map[string]float64, k string) bool {
 // checkThresholds compares every benchmark present in both recordings
 // against the configured ceilings and describes each breach. A benchmark
 // the thresholds name individually but the new recording lacks is a breach
-// too: renaming or deleting it must not silently drop its gate.
+// too: renaming or deleting it must not silently drop its gate. A B/op
+// increase breaches only together with an allocs/op increase of the same
+// benchmark: at the gate's short benchtime a single runtime allocation
+// (a channel-wait sudog, say) moves B/op by several bytes while allocs/op,
+// an integer per op, stays put. A new allocation still breaches on
+// allocs/op itself.
 func checkThresholds(cur, base *suite, th *thresholds) []string {
 	var out []string
 	named := make([]string, 0, len(th.Benchmarks))
@@ -474,6 +487,9 @@ func checkThresholds(cur, base *suite, th *thresholds) []string {
 			}
 			maxInc, maxDec, incOK, decOK := th.limits(name, u)
 			d := pctDelta(ov, ser[u])
+			if u == "B/op" && !allocsRose(old, ser) {
+				incOK = false
+			}
 			if incOK && d > maxInc {
 				out = append(out, fmt.Sprintf("REGRESSION %s %s: %s -> %s (%s, limit %+.1f%%)",
 					name, u, formatValue(ov), formatValue(ser[u]), formatPct(d), maxInc))

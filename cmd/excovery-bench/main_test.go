@@ -170,6 +170,46 @@ func TestCheckGate(t *testing.T) {
 	}
 }
 
+// TestCheckGateBytesNeedAllocs pins the B/op rule: a B/op increase
+// breaches only when allocs/op of the same benchmark rose too, while a
+// new allocation on a zero-alloc benchmark still breaches on allocs/op.
+func TestCheckGateBytesNeedAllocs(t *testing.T) {
+	dir := t.TempDir()
+	thPath := filepath.Join("..", "..", "bench-thresholds.json")
+	const hb = "BenchmarkRegistryHeartbeat"
+	fixture := func(fig3, heartbeat string) string {
+		body := "BenchmarkFig3FullWorkflow \t 170\t 14144909 ns/op\t " + fig3 + "\n" +
+			hb + " \t 100\t 1000 ns/op\t " + heartbeat + "\n"
+		return body + gatedLines(t, thPath, body)
+	}
+	basePath := writeBench(t, dir, "BENCH_20260601.json", fixture("1583934 B/op\t 6000 allocs/op", "0 B/op\t 0 allocs/op"))
+	for _, tc := range []struct {
+		name, fig3, heartbeat string
+		breach                string // "" means the gate passes
+	}{
+		{"B/op up, allocs/op flat", "2000000 B/op\t 6000 allocs/op", "5 B/op\t 0 allocs/op", ""},
+		{"B/op and allocs/op up", "2000000 B/op\t 6100 allocs/op", "0 B/op\t 0 allocs/op",
+			"REGRESSION BenchmarkFig3FullWorkflow B/op: 1583934 -> 2000000"},
+		{"allocs/op 0 -> 1", "1583934 B/op\t 6000 allocs/op", "16 B/op\t 1 allocs/op",
+			"REGRESSION " + hb + " allocs/op: 0 -> 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			curPath := writeBench(t, t.TempDir(), "cur.json", fixture(tc.fig3, tc.heartbeat))
+			var out bytes.Buffer
+			code := run([]string{"-check", thPath, curPath, basePath}, &out, &out)
+			if tc.breach == "" {
+				if code != 0 {
+					t.Fatalf("exit %d, want a pass:\n%s", code, out.String())
+				}
+				return
+			}
+			if code != 2 || !strings.Contains(out.String(), tc.breach) {
+				t.Fatalf("exit %d, want 2 with %q:\n%s", code, tc.breach, out.String())
+			}
+		})
+	}
+}
+
 // TestParseRepeatsTakeMedian checks that -count repeats of one benchmark
 // reduce to the per-unit median rather than the last run.
 func TestParseRepeatsTakeMedian(t *testing.T) {

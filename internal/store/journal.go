@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 )
@@ -117,24 +119,29 @@ func OpenJournal(dir string) (*Journal, error) {
 }
 
 func replayJournal(path string) (Replay, int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return replayRecords(strings.NewReader(""), path)
+	}
+	if err != nil {
+		return Replay{}, 0, err
+	}
+	defer f.Close()
+	return replayRecords(f, path)
+}
+
+// replayRecords replays the journal read from r; path only names it in
+// errors. It returns the replayed state and the last sequence number.
+func replayRecords(r io.Reader, path string) (Replay, int64, error) {
 	rp := Replay{
 		Done:     map[int]bool{},
 		Dangling: map[int]bool{},
 		Ended:    map[int]bool{},
 		Attempts: map[int]int{},
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return rp, 0, nil
-	}
-	if err != nil {
-		return rp, 0, err
-	}
-	defer f.Close()
-
 	var seq int64
 	var pendingErr error
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"excovery/internal/eventlog"
 	"excovery/internal/netem"
@@ -161,9 +162,9 @@ type packetMeta struct {
 // each record's capture time, source node, and the raw stored line. The
 // line is a capacity-clipped view into the file buffer, which is read
 // once and never reused: fn may retain it (conditioning stores it as the
-// Packets.Data blob) but must not modify it. The decoder and the line
-// scan advance in lockstep, which holds because appendJSONL writes exactly
-// one JSON value per line.
+// Packets.Data blob) but must not modify it. Every non-blank line must
+// hold exactly one JSON value (appendJSONL writes one per line); any
+// other line is an error naming the file, and fn never sees it.
 func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time, src string, line []byte) error) error {
 	path := filepath.Join(rs.runDir(run, node), "packets.jsonl")
 	data, err := os.ReadFile(path)
@@ -173,9 +174,9 @@ func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time,
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for start := 0; start < len(data); {
+	for start, n := 0, 0; start < len(data); {
 		var line []byte
+		n++
 		if end := bytes.IndexByte(data[start:], '\n'); end < 0 {
 			line = data[start:]
 			start = len(data)
@@ -187,15 +188,158 @@ func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time,
 		if len(line) == 0 {
 			continue
 		}
-		var m packetMeta
-		if err := dec.Decode(&m); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+		m, err := decodePacketMeta(line)
+		if err != nil {
+			return fmt.Errorf("%s: line %d: %w", path, n, err)
 		}
 		if err := fn(m.Time, m.Src, line[:len(line):len(line)]); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
+}
+
+// decodePacketMeta returns what json.Unmarshal(line, &packetMeta{})
+// returns, at the cost of one scan of the line instead of two. After
+// json.Valid, the lines appendJSONL writes take a short path: a walk of
+// the top-level object that skips every value but "time" and "src" with
+// bytes.IndexByte, and hands the quoted time to the same UnmarshalJSON
+// that encoding/json calls. A line outside that path (not an object,
+// whitespace between tokens, an escaped key, a repeated time or src key,
+// a non-string or escaped time or src, a bad time) is left to
+// json.Unmarshal itself. FuzzPacketMeta holds the two equal.
+func decodePacketMeta(line []byte) (packetMeta, error) {
+	var m packetMeta
+	if !json.Valid(line) {
+		// Unmarshal checks validity before anything else, so this is the
+		// syntax error it reports.
+		return m, json.Unmarshal(line, &m)
+	}
+	if tm, src, ok := scanPacketMeta(line); ok {
+		if tm == nil || m.Time.UnmarshalJSON(tm) == nil {
+			m.Src = string(src)
+			return m, nil
+		}
+	}
+	m = packetMeta{}
+	err := json.Unmarshal(line, &m)
+	return m, err
+}
+
+// scanPacketMeta walks a line that json.Valid accepted and returns the
+// raw (quoted) time value and the unquoted src value, nil when a key is
+// absent. ok is false when the line is outside the short path of
+// decodePacketMeta.
+func scanPacketMeta(line []byte) (tm, src []byte, ok bool) {
+	if line[0] != '{' {
+		return nil, nil, false
+	}
+	i := 1
+	if line[i] == '}' {
+		return nil, nil, i+1 == len(line)
+	}
+	for {
+		// Key: a string without escapes, matched as encoding/json matches
+		// field names (its foldName equality is bytes.EqualFold).
+		if line[i] != '"' {
+			return nil, nil, false
+		}
+		end, plain := skipString(line, i)
+		key := line[i+1 : end-1]
+		if !plain || end >= len(line) || line[end] != ':' {
+			return nil, nil, false
+		}
+		i = end + 1
+		isTime, isSrc := bytes.EqualFold(key, []byte("time")), bytes.EqualFold(key, []byte("src"))
+		if isTime || isSrc {
+			if line[i] != '"' {
+				return nil, nil, false
+			}
+			end, plain = skipString(line, i)
+			if !plain {
+				return nil, nil, false
+			}
+			switch {
+			case isTime && tm == nil:
+				tm = line[i:end]
+			case isSrc && src == nil:
+				src = line[i+1 : end-1]
+				if !utf8.Valid(src) {
+					// encoding/json would replace the invalid bytes.
+					return nil, nil, false
+				}
+			default: // a repeated key: the last one wins in encoding/json
+				return nil, nil, false
+			}
+		} else {
+			end = skipValue(line, i)
+		}
+		if end >= len(line) {
+			return nil, nil, false
+		}
+		switch line[end] {
+		case ',':
+			i = end + 1
+		case '}':
+			return tm, src, end+1 == len(line)
+		default: // whitespace
+			return nil, nil, false
+		}
+	}
+}
+
+// skipString returns the index just past the JSON string that starts at
+// line[i], and whether the string holds no escape. The line must be valid
+// JSON.
+func skipString(line []byte, i int) (end int, plain bool) {
+	plain = true
+	i++
+	for {
+		q := bytes.IndexByte(line[i:], '"')
+		if q < 0 {
+			return len(line), false
+		}
+		b := bytes.IndexByte(line[i:i+q], '\\')
+		if b < 0 {
+			return i + q + 1, plain
+		}
+		plain = false
+		i += b + 2 // past the backslash and the byte it escapes
+	}
+}
+
+// skipValue returns the index just past the JSON value that starts at
+// line[i]. The line must be valid JSON.
+func skipValue(line []byte, i int) int {
+	switch line[i] {
+	case '"':
+		end, _ := skipString(line, i)
+		return end
+	case '{', '[':
+		depth := 0
+		for ; i < len(line); i++ {
+			switch line[i] {
+			case '"':
+				end, _ := skipString(line, i)
+				i = end - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+		return len(line)
+	}
+	// A number, true, false or null.
+	for ; i < len(line); i++ {
+		switch line[i] {
+		case ',', '}', ']', ' ', '\t', '\n', '\r':
+			return i
+		}
+	}
+	return i
 }
 
 // ReadPackets loads a node's packet captures of one run.

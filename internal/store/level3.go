@@ -3,7 +3,9 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"excovery/internal/eventlog"
@@ -150,84 +152,35 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Node names repeat on every row, and storing a string in a Row boxes
-	// it (one allocation); box each distinct name once and share it.
-	boxed := map[string]any{}
-	name := func(s string) any {
-		v, ok := boxed[s]
-		if !ok {
-			v = s
-			boxed[s] = v
-		}
-		return v
-	}
+	// Runs are loaded and conditioned in parallel; this goroutine alone
+	// inserts them, in run order, so the database (and the file Save
+	// writes) is the one serial conditioning builds, and the error is the
+	// one it returns: that of the first failing run.
 	logsByNode := map[string]string{}
-	for _, run := range runs {
-		info, err := rs.ReadRunInfo(run)
-		if err != nil {
-			return nil, fmt.Errorf("store: run %d has no runinfo: %w", run, err)
-		}
-		offsets := map[string]timesync.Measurement{}
-		for _, m := range info.Offsets {
-			offsets[m.Node] = m
-			if err := e.DB.Insert("RunInfos", reldb.Row{
-				int64(run), m.Node, info.Start.UTC(), m.Offset.Seconds(),
-			}); err != nil {
-				return nil, err
+	var names sync.Map // node name → its one boxed copy, shared by all rows
+	err = orderedFanOut(len(runs), func(i int) *runRows {
+		return conditionRun(rs, runs[i], &names)
+	}, func(r *runRows) error {
+		for _, t := range [...]struct {
+			name string
+			rows []reldb.Row
+		}{
+			{"RunInfos", r.infos}, {"Events", r.events},
+			{"Packets", r.packets}, {"ExtraRunMeasurements", r.extras},
+		} {
+			for _, row := range t.rows {
+				if err := e.DB.Insert(t.name, row); err != nil {
+					return err
+				}
 			}
 		}
-		correct := func(node string, local time.Time) time.Time {
-			if m, ok := offsets[node]; ok {
-				return timesync.Correct(local, m).UTC()
-			}
-			return local.UTC()
+		for _, l := range r.logs {
+			logsByNode[l.node] += l.log
 		}
-
-		nodes, err := rs.RunNodes(run)
-		if err != nil {
-			return nil, err
-		}
-		for _, node := range nodes {
-			err := rs.ForEachEvent(run, node, func(ev *eventlog.Event) error {
-				return e.DB.Insert("Events", reldb.Row{
-					int64(run), name(ev.Node), correct(ev.Node, ev.Time),
-					ev.Type, encodeParams(ev.Params),
-				})
-			})
-			if err != nil {
-				return nil, err
-			}
-			// The stored line is byte-identical to re-marshaling the decoded
-			// record (both sides are encoding/json output of PacketRecord;
-			// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
-			// the Data column directly and the payload is never re-encoded.
-			// The line is a view into the file buffer, which is never
-			// reused, so it is stored without a copy.
-			err = rs.ForEachPacketLine(run, node, func(t time.Time, src string, line []byte) error {
-				return e.DB.Insert("Packets", reldb.Row{
-					int64(run), name(node), correct(node, t), name(src), line,
-				})
-			})
-			if err != nil {
-				return nil, err
-			}
-			if log, err := rs.ReadLog(run, node); err != nil {
-				return nil, err
-			} else if log != "" {
-				logsByNode[node] += log
-			}
-		}
-		extras, err := rs.ListExtras(run)
-		if err != nil {
-			return nil, err
-		}
-		for _, x := range extras {
-			if err := e.DB.Insert("ExtraRunMeasurements", reldb.Row{
-				int64(x.Run), x.Node, x.Name, x.Content,
-			}); err != nil {
-				return nil, err
-			}
-		}
+		return r.err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	nodes := make([]string, 0, len(logsByNode))
@@ -253,6 +206,153 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 		}
 	}
 	return e, nil
+}
+
+// runRows is one run's share of the level-3 database: its rows in insert
+// order per table, its node logs in node order, and the error that ended
+// its conditioning early, if any.
+type runRows struct {
+	infos, events, packets, extras []reldb.Row
+	logs                           []nodeLog
+	err                            error
+}
+
+type nodeLog struct{ node, log string }
+
+// conditionRun reads one run from the level-2 store and builds its rows,
+// with every timestamp mapped onto the reference time base. It stops at
+// the first error and returns the rows built until then along with it.
+// names holds the boxed node names shared across runs.
+func conditionRun(rs *RunStore, run int, names *sync.Map) *runRows {
+	r := &runRows{}
+	info, err := rs.ReadRunInfo(run)
+	if err != nil {
+		r.err = fmt.Errorf("store: run %d has no runinfo: %w", run, err)
+		return r
+	}
+	runID := any(int64(run))
+	offsets := map[string]timesync.Measurement{}
+	for _, m := range info.Offsets {
+		offsets[m.Node] = m
+		r.infos = append(r.infos, reldb.Row{runID, m.Node, info.Start.UTC(), m.Offset.Seconds()})
+	}
+	correct := func(node string, local time.Time) time.Time {
+		if m, ok := offsets[node]; ok {
+			return timesync.Correct(local, m).UTC()
+		}
+		return local.UTC()
+	}
+	// Node names repeat on every row, and storing a string in a Row boxes
+	// it (one allocation); box each distinct name once and share it. The
+	// per-run map keeps the shared one off the per-row path.
+	boxed := map[string]any{}
+	name := func(s string) any {
+		v, ok := boxed[s]
+		if !ok {
+			v, _ = names.LoadOrStore(s, s)
+			boxed[s] = v
+		}
+		return v
+	}
+
+	nodes, err := rs.RunNodes(run)
+	if err != nil {
+		r.err = err
+		return r
+	}
+	for _, node := range nodes {
+		err := rs.ForEachEvent(run, node, func(ev *eventlog.Event) error {
+			r.events = append(r.events, reldb.Row{
+				runID, name(ev.Node), correct(ev.Node, ev.Time),
+				ev.Type, encodeParams(ev.Params),
+			})
+			return nil
+		})
+		if err != nil {
+			r.err = err
+			return r
+		}
+		// The stored line is byte-identical to re-marshaling the decoded
+		// record (both sides are encoding/json output of PacketRecord;
+		// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
+		// the Data column directly and the payload is never re-encoded.
+		// The line is a view into the file buffer, which is never
+		// reused, so it is stored without a copy.
+		err = rs.ForEachPacketLine(run, node, func(t time.Time, src string, line []byte) error {
+			r.packets = append(r.packets, reldb.Row{
+				runID, name(node), correct(node, t), name(src), line,
+			})
+			return nil
+		})
+		if err != nil {
+			r.err = err
+			return r
+		}
+		if log, err := rs.ReadLog(run, node); err != nil {
+			r.err = err
+			return r
+		} else if log != "" {
+			r.logs = append(r.logs, nodeLog{node, log})
+		}
+	}
+	extras, err := rs.ListExtras(run)
+	if err != nil {
+		r.err = err
+		return r
+	}
+	for _, x := range extras {
+		r.extras = append(r.extras, reldb.Row{int64(x.Run), x.Node, x.Name, x.Content})
+	}
+	return r
+}
+
+// orderedFanOut calls load(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, and consume on the results in index order on the calling
+// goroutine. At most twice as many results as workers are in flight. It
+// returns consume's first error, after which no further load starts; no
+// goroutine outlives the call.
+func orderedFanOut[T any](n int, load func(int) T, consume func(T) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	window := 2 * workers
+	// At most window jobs are dispatched and not yet consumed, so with
+	// this buffer the dispatch below never blocks the consumer.
+	jobs := make(chan int, window)
+	slots := make([]chan T, window) // result i travels in slots[i%window]
+	for i := range slots {
+		slots[i] = make(chan T, 1)
+	}
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(quit)
+		close(jobs)
+		wg.Wait()
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				slots[i%window] <- load(i)
+			}
+		}()
+	}
+	next := 0
+	for i := 0; i < n; i++ {
+		// Slot i%window is free again: result i-window was consumed.
+		for ; next < n && next < i+window; next++ {
+			jobs <- next
+		}
+		if err := consume(<-slots[i%window]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DecodeParams parses a Parameter column value.

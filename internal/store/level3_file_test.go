@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,6 +61,30 @@ func TestLevel3GoldenDigest(t *testing.T) {
 	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("level-3 SHA-256 = %s, want %s (%d bytes)", got, want, len(b))
+	}
+}
+
+// TestLevel3DigestIndependentOfGOMAXPROCS: conditioning fans runs out
+// over GOMAXPROCS workers, yet the level-3 file of the golden campaign is
+// the same with one worker, with the default count and with four (more
+// than the campaign's three runs).
+func TestLevel3DigestIndependentOfGOMAXPROCS(t *testing.T) {
+	digest := func() string {
+		_, path := oneShotLevel3(t, nil)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	def := digest()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := digest(); got != def {
+			t.Fatalf("level-3 SHA-256 at GOMAXPROCS=%d = %s, at the default = %s", procs, got, def)
+		}
 	}
 }
 
